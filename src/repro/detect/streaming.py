@@ -1,7 +1,9 @@
 """Constant-memory streaming estimators."""
 
 import collections
+import heapq
 import math
+import operator
 
 
 class MovingAverage:
@@ -334,9 +336,9 @@ class RateCounter:
         Windows must match — merging counters with different trailing
         windows would silently change eviction semantics, so that raises
         ``ValueError``.  Both event logs are time-ordered, so the merge is a
-        single two-pointer pass; ties take this counter's event first, which
-        keeps the merge deterministic regardless of call order per side.
-        Returns ``self`` for chaining.
+        single linear pass (:func:`heapq.merge`, which is stable: ties take
+        this counter's event first, keeping the merge deterministic
+        regardless of call order per side).  Returns ``self`` for chaining.
         """
         if not isinstance(other, RateCounter) or other.window != self.window:
             raise ValueError(
@@ -344,23 +346,8 @@ class RateCounter:
                     self.window, other))
         if not other._events:
             return self
-        merged = collections.deque()
-        left, right = self._events, other._events
-        i = j = 0
-        while i < len(left) and j < len(right):
-            if left[i][0] <= right[j][0]:
-                merged.append(left[i])
-                i += 1
-            else:
-                merged.append(right[j])
-                j += 1
-        while i < len(left):
-            merged.append(left[i])
-            i += 1
-        while j < len(right):
-            merged.append(right[j])
-            j += 1
-        self._events = merged
+        self._events = collections.deque(heapq.merge(
+            self._events, other._events, key=operator.itemgetter(0)))
         self._hits += other._hits
         return self
 

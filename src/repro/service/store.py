@@ -39,6 +39,8 @@ from repro.fleet.aggregate import HostDigest
 
 #: Bump on any table/column change; stores created by other versions are
 #: refused rather than silently misread.  v2 added the ``proposals`` table.
+#: Dropping the ``false_submit_rate`` event log from the ``sketches`` blob
+#: changed no table or column, and old blobs still load, so it stayed v2.
 SCHEMA_VERSION = 2
 
 _COUNTERS = HostDigest.COUNTER_FIELDS  # checks .. model_submits

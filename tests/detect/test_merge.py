@@ -95,6 +95,21 @@ def test_rate_counter_merge_matches_concatenated_stream(a, b):
     assert merged.rate(now) == reference.rate(now)
 
 
+def test_rate_counter_merge_ties_take_own_events_first():
+    left = RateCounter(1_000)
+    for t, hit in ((5, True), (5, True), (9, False)):
+        left.observe(t, hit)
+    right = RateCounter(1_000)
+    for t, hit in ((1, False), (5, False), (9, True)):
+        right.observe(t, hit)
+    mirror = RateCounter(1_000).merge(right).merge(left)
+
+    assert left.merge(right).to_json()["events"] == [
+        [1, 0], [5, 1], [5, 1], [5, 0], [9, 0], [9, 1]]
+    assert mirror.to_json()["events"] == [
+        [1, 0], [5, 0], [5, 1], [5, 1], [9, 1], [9, 0]]
+
+
 def test_rate_counter_window_mismatch_raises():
     with pytest.raises(ValueError, match="window"):
         RateCounter(1000).merge(RateCounter(500))

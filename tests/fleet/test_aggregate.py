@@ -1,10 +1,16 @@
 """HostDigest/FleetDigest: observation, merging, and fleet-wide rates."""
 
 import math
+import pickle
 
 import pytest
 
-from repro.fleet.aggregate import FleetDigest, HostDigest, latency_histogram
+from repro.fleet.aggregate import (
+    LATENCY_BINS,
+    FleetDigest,
+    HostDigest,
+    latency_histogram,
+)
 from repro.sim.units import SECOND
 
 
@@ -103,3 +109,22 @@ def test_latency_histogram_bounds_are_shared():
     # Digest sketches must be mutually mergeable by construction.
     a, b = latency_histogram(), latency_histogram()
     assert a.compatible_with(b)
+
+
+def test_digest_size_is_independent_of_io_count():
+    # One round's digest ships as a row and through the shard pipe; its
+    # size must not grow with the I/Os it summarizes.  Only the widths of
+    # the numbers in it may change, so allow a fixed slack of a few bytes
+    # per histogram bin.
+    def sizes(ios):
+        digest = HostDigest(0, 0, 1 * SECOND, version=1)
+        for index in range(ios):
+            digest.observe_io(index * 1000, 50.0 + (index * 37) % 2900,
+                              index % 7 == 0, True)
+        return (len(digest.to_row()["sketches"]),
+                len(pickle.dumps(digest)))
+
+    small, large = sizes(10), sizes(10_000)
+    slack = 3 * LATENCY_BINS
+    assert large[0] <= small[0] + slack
+    assert large[1] <= small[1] + slack

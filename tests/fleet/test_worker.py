@@ -1,5 +1,7 @@
 """SimulatedHost and FleetRunner: real kernels, inline vs process shards."""
 
+import weakref
+
 import pytest
 
 from repro.fleet.scenario import fleet_versions, make_fleet_specs
@@ -97,3 +99,15 @@ def test_runner_close_is_idempotent():
     runner = FleetRunner(specs, V1, SECOND, 1, jobs=1)
     runner.close()
     runner.close()
+
+
+def test_closed_inline_runner_leaves_no_hosts_behind():
+    # Hosts sit in kernel <-> engine <-> hook cycles; close() must free
+    # them itself, without the caller forcing a collection.
+    specs = make_fleet_specs(2, seed=5, rate_ios=250)
+    runner = FleetRunner(specs, V1, SECOND, 2, jobs=1)
+    runner.step_round(0, 1 * SECOND)
+    host = weakref.ref(runner._shards[0].hosts[0])
+    assert host() is not None
+    runner.close()
+    assert host() is None
