@@ -9,11 +9,10 @@ import collections
 from repro.kernel import Kernel
 from repro.kernel.storage import (
     DeviceProfile,
-    PickDecision,
     PoissonWorkload,
-    ReplicatedVolume,
-    SsdDevice,
+    build_storage_kernel,
     schedule_profile_change,
+    shortest_queue_policy,
 )
 from repro.policies.linnos import (
     LinnosPolicy,
@@ -35,18 +34,6 @@ guardrail low-false-submit {
   }
 }
 """
-
-
-def build_storage_kernel(seed=1, replicas=3):
-    """A kernel with a replicated volume over ``replicas`` pre-drift SSDs."""
-    kernel = Kernel(seed=seed)
-    devices = [
-        SsdDevice(kernel.engine, kernel.engine.rng.get("ssd{}".format(i)),
-                  "ssd{}".format(i), DeviceProfile.pre_drift())
-        for i in range(replicas)
-    ]
-    volume = kernel.attach("storage", ReplicatedVolume(kernel, devices))
-    return kernel, devices, volume
 
 
 def train_default_linnos_model(seed=1, train_seconds=20, rate_ios=900,
@@ -298,22 +285,6 @@ class FaultsDemoResult:
             "monitors": self.kernel.supervisor.stats(),
             "guardrail": self.monitor.stats(),
         }
-
-
-def shortest_queue_policy(inference_ns=2_000):
-    """The demo's stand-in learned policy: pick the shallowest queue.
-
-    Flagged ``used_model=True`` so fallback engagement is visible in the
-    volume's model-submit accounting, with a small nonzero ``inference_ns``
-    so ``stall`` faults have a latency to inflate.
-    """
-    def pick(volume):
-        index = min(range(len(volume.devices)),
-                    key=lambda i: volume.devices[i].queue_depth)
-        return PickDecision(index, used_model=True, predicted_fast=True,
-                            inference_ns=inference_ns)
-
-    return pick
 
 
 def run_faults_demo_scenario(seed=11, duration_s=12, rate_ios=800,

@@ -52,14 +52,20 @@ class P2Quantile:
             else:
                 k = 3
 
+        n = self._positions
+        desired = self._desired
+        increments = self._increments
         for i in range(k + 1, 5):
-            self._positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
+            n[i] += 1.0
+        # The five desired-position adds, unrolled (same order as a loop).
+        desired[0] += increments[0]
+        desired[1] += increments[1]
+        desired[2] += increments[2]
+        desired[3] += increments[3]
+        desired[4] += increments[4]
 
         for i in range(1, 4):
-            d = self._desired[i] - self._positions[i]
-            n = self._positions
+            d = desired[i] - n[i]
             if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (d <= -1.0 and n[i - 1] - n[i] < -1.0):
                 d = 1.0 if d > 0 else -1.0
                 candidate = self._parabolic(i, d)

@@ -6,9 +6,9 @@ storage volume, Poisson workload, and (optionally) an armed fault plan —
 seeded deterministically from its :class:`HostSpec`.  Hosts share nothing,
 which is what makes sharding safe: the :class:`FleetRunner` splits them
 into contiguous shards across worker processes and steps the whole fleet
-in lockstep *rounds*, reusing the ``repro.bench.runner`` process
-machinery (daemon workers, ``Pipe`` transport with the send-before-exit
-discipline, poll-with-deadline supervision).
+in lockstep *rounds*, with the same process discipline as the benchmark
+runner (daemon workers, ``Pipe`` transport with send-before-exit,
+poll-with-deadline supervision).
 
 Per round the runner broadcasts the control plane's directives (guardrail
 version updates, keyed by host id), each worker steps its hosts to the
@@ -118,11 +118,11 @@ class SimulatedHost:
     """
 
     def __init__(self, spec, initial_version, round_ns, total_rounds):
-        from repro.bench.scenarios import (
+        from repro.kernel.storage import (
+            PoissonWorkload,
             build_storage_kernel,
             shortest_queue_policy,
         )
-        from repro.kernel.storage import PoissonWorkload
 
         self.spec = spec
         kernel, devices, volume = build_storage_kernel(
@@ -178,13 +178,11 @@ class SimulatedHost:
     # -- digest plumbing ---------------------------------------------------
 
     def _on_io_complete(self, _hook, now, payload):
-        if payload.get("used_model") and payload.get("predicted_fast") is not None:
-            predicted_fast = bool(payload["predicted_fast"])
-        else:
-            predicted_fast = False
-        self._digest.observe_io(now, payload["latency_us"],
-                                bool(payload.get("false_submit")),
-                                predicted_fast)
+        # The volume sends every key on each completion; ``false_submit``
+        # is already a bool, and a ``None`` prediction reads as not-fast.
+        self._digest.observe_io(
+            now, payload["latency_us"], payload["false_submit"],
+            bool(payload["used_model"] and payload["predicted_fast"]))
 
     def _totals(self):
         """Per-domain cumulative guardrail counters, retirees included."""

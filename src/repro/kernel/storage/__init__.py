@@ -8,14 +8,19 @@
   a replica through a swappable policy slot (the learned LinnOS policy or a
   round-robin fallback);
 - :mod:`~repro.kernel.storage.trace` — open-loop synthetic workloads with
-  phases and mid-run device-behavior drift.
+  phases and mid-run device-behavior drift;
+- :func:`build_storage_kernel` — a kernel with one such volume over
+  pre-drift SSDs, the stack the fleet hosts and demo scenarios share.
 """
 
+from repro.kernel.base import Kernel
 from repro.kernel.storage.batch import BatchedCompletionIngest
 from repro.kernel.storage.ssd import DeviceProfile, SsdDevice
 from repro.kernel.storage.trace import (PoissonWorkload, ReplayWorkload,
                                         schedule_profile_change)
-from repro.kernel.storage.volume import IoRequest, PickDecision, ReplicatedVolume
+from repro.kernel.storage.volume import (IoRequest, PickDecision,
+                                         ReplicatedVolume,
+                                         shortest_queue_policy)
 
 __all__ = [
     "BatchedCompletionIngest",
@@ -27,4 +32,18 @@ __all__ = [
     "IoRequest",
     "PickDecision",
     "ReplicatedVolume",
+    "shortest_queue_policy",
+    "build_storage_kernel",
 ]
+
+
+def build_storage_kernel(seed=1, replicas=3):
+    """A kernel with a replicated volume over ``replicas`` pre-drift SSDs."""
+    kernel = Kernel(seed=seed)
+    devices = [
+        SsdDevice(kernel.engine, kernel.engine.rng.get("ssd{}".format(i)),
+                  "ssd{}".format(i), DeviceProfile.pre_drift())
+        for i in range(replicas)
+    ]
+    volume = kernel.attach("storage", ReplicatedVolume(kernel, devices))
+    return kernel, devices, volume

@@ -227,12 +227,13 @@ class SsdDevice:
         return float(self.rng.lognormal(math.log(median), sigma))
 
     def _complete(self, request, on_complete, service_us):
+        now = self.engine.now
         self.served_count += 1
         if service_us > self.slow_threshold_us:
             self.slow_served_count += 1
-            self.last_slow_completion_time = self.engine.now
+            self.last_slow_completion_time = now
         self.history.append(service_us)
-        self.last_completion_time = self.engine.now
+        self.last_completion_time = now
         on_complete(request, service_us)
         self._start_next()
 

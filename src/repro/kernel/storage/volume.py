@@ -63,6 +63,29 @@ def round_robin_policy():
     return pick
 
 
+def shortest_queue_policy(inference_ns=2_000):
+    """The stand-in learned policy: pick the shallowest queue.
+
+    Flagged ``used_model=True`` so fallback engagement is visible in the
+    volume's model-submit accounting, with a small nonzero ``inference_ns``
+    so ``stall`` faults have a latency to inflate.  Ties go to the lowest
+    index, as ``min()`` would pick.
+    """
+    def pick(volume):
+        devices = volume.devices
+        index = 0
+        best = devices[0].queue_depth
+        for i in range(1, len(devices)):
+            depth = devices[i].queue_depth
+            if depth < best:
+                index = i
+                best = depth
+        return PickDecision(index, used_model=True, predicted_fast=True,
+                            inference_ns=inference_ns)
+
+    return pick
+
+
 class ReplicatedVolume:
     """N-replica read volume with pluggable replica selection."""
 
@@ -78,6 +101,9 @@ class ReplicatedVolume:
         self.devices = list(devices)
         self.slow_threshold_us = slow_threshold_us
         self.metric_prefix = metric_prefix
+        self._latency_metric = metric_prefix + ".io_latency_us"
+        self._completed_metric = metric_prefix + ".completed"
+        self._slow_metric = metric_prefix + ".slow_ios"
         # Batched completion lane: buffer per-I/O store saves and metric
         # records in columns of up to ``ingest_batch`` events, flushed on
         # buffer-full or on any store read (the store's deferred-flush
@@ -102,6 +128,10 @@ class ReplicatedVolume:
         if self.PICK_SLOT not in kernel.functions:
             kernel.functions.register(self.PICK_SLOT, fallback)
             kernel.functions.register_implementation(self.FALLBACK_NAME, fallback)
+        # Slots are never re-registered, so the slot object is resolved
+        # once; submit() reads ``slot.current`` per I/O, which is where
+        # REPLACE, fault injection and the policy supervisor swap.
+        self._pick_slot = kernel.functions.slot(self.PICK_SLOT)
         if "false_submit_rate" not in kernel.store:
             kernel.store.derive_rate(
                 "false_submit", window=false_submit_window, name="false_submit_rate"
@@ -117,8 +147,9 @@ class ReplicatedVolume:
         """Submit one I/O; replica choice goes through the policy slot."""
         self._io_counter += 1
         request = IoRequest(self._io_counter, self.kernel.engine.now, is_write, size)
-        decision = self.kernel.functions.slot(self.PICK_SLOT)(self)
-        request.device_index = decision.index
+        decision = self._pick_slot.current(self)
+        index = decision.index
+        request.device_index = index
         request.used_model = decision.used_model
         request.predicted_fast = decision.predicted_fast
         # Inference happens on the submit path, so its cost is part of the
@@ -130,18 +161,20 @@ class ReplicatedVolume:
         self.inflight += 1
         if decision.used_model:
             self.model_submits += 1
+        device = self.devices[index]
         self.submit_hook.fire(
             io_id=request.io_id,
-            device=decision.index,
+            device=index,
             used_model=decision.used_model,
             predicted_fast=decision.predicted_fast,
-            queue_depth=self.devices[decision.index].queue_depth,
+            queue_depth=device.queue_depth,
         )
-        self.devices[decision.index].enqueue(request, self._on_complete)
+        device.enqueue(request, self._on_complete)
         return request
 
     def _on_complete(self, request, service_us):
-        now = self.kernel.engine.now
+        kernel = self.kernel
+        now = kernel.engine.now
         request.complete_time = now
         request.latency_us = (ns_to_us(now - request.submit_time)
                               + request.inference_us)
@@ -163,18 +196,18 @@ class ReplicatedVolume:
                 fs_event = None
             self._ingest.add(now, request.latency_us, fs_event, slow)
         else:
-            store = self.kernel.store
+            store = kernel.store
             store.save("io_latency_us", request.latency_us)
             if request.used_model and request.predicted_fast is not None:
                 # Rate denominator: every model-guided fast prediction.
                 if request.predicted_fast:
                     store.save("false_submit", 1 if false_submit else 0)
 
-            self.kernel.metrics.record(self.metric_prefix + ".io_latency_us",
-                                       request.latency_us)
-            self.kernel.metrics.increment(self.metric_prefix + ".completed")
+            metrics = kernel.metrics
+            metrics.record(self._latency_metric, request.latency_us, now)
+            metrics.increment(self._completed_metric)
             if slow:
-                self.kernel.metrics.increment(self.metric_prefix + ".slow_ios")
+                metrics.increment(self._slow_metric)
 
         self.complete_hook.fire(
             io_id=request.io_id,
@@ -201,4 +234,4 @@ class ReplicatedVolume:
 
     def mean_latency_us(self):
         self.flush_ingest()
-        return self.kernel.metrics.series(self.metric_prefix + ".io_latency_us").mean()
+        return self.kernel.metrics.series(self._latency_metric).mean()

@@ -64,13 +64,13 @@ guardrail zoo-storage-false-submit {
 
 def attach_storage(kernel, workload="quiet", policy="learned",
                    duration_ns=8 * SECOND, replicas=3):
-    from repro.bench.scenarios import shortest_queue_policy
     from repro.kernel.storage import (
         DeviceProfile,
         PoissonWorkload,
         ReplicatedVolume,
         SsdDevice,
         schedule_profile_change,
+        shortest_queue_policy,
     )
 
     devices = [

@@ -72,16 +72,14 @@ def guarded_standin_policy(kernel, inference_ns=2_000):
     plain round-robin, ``used_model=False`` — no false-submit accounting,
     which is what lets ``false_submit_rate`` go quiet after A's remedy.
     """
-    from repro.kernel.storage import PickDecision
+    from repro.kernel.storage import PickDecision, shortest_queue_policy
 
+    shortest_queue = shortest_queue_policy(inference_ns)
     state = {"rr": 0}
 
     def pick(volume):
         if bool(kernel.store.load("ml_enabled", default=True)):
-            index = min(range(len(volume.devices)),
-                        key=lambda i: volume.devices[i].queue_depth)
-            return PickDecision(index, used_model=True, predicted_fast=True,
-                                inference_ns=inference_ns)
+            return shortest_queue(volume)
         index = state["rr"] % len(volume.devices)
         state["rr"] += 1
         return PickDecision(index)

@@ -15,8 +15,8 @@ those are layered on top through callbacks, :mod:`repro.sim.hooks`, and
 :mod:`repro.sim.process`.
 """
 
-import heapq
 import math
+from heapq import heappop, heappush
 
 
 class SimulationError(RuntimeError):
@@ -30,6 +30,10 @@ class Event:
     them.  Cancellation removes the event from the top of the heap when it is
     cheap to do so; entries buried deeper stay until popped, but the engine's
     live-event counter is updated immediately (``pending_events()`` is O(1)).
+
+    The heap holds ``(time, seq, event)`` tuples rather than events, so
+    ordering is a C-level tuple comparison; ``seq`` is unique, so the event
+    itself is never compared.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired",
@@ -56,11 +60,8 @@ class Event:
             # of the heap, so cancel-heavy workloads (periodic triggers being
             # re-armed, supervisor backoffs) don't accrete dead entries.
             heap = engine._heap
-            while heap and heap[0].cancelled:
-                heapq.heappop(heap)
-
-    def __lt__(self, other):
-        return (self.time, self.seq) < (other.time, other.seq)
+            while heap and heap[0][2].cancelled:
+                heappop(heap)
 
     def __repr__(self):
         state = "fired" if self.fired else ("cancelled" if self.cancelled else "pending")
@@ -110,17 +111,26 @@ class Engine:
     def schedule_at(self, time, callback, *args):
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
         time = self._coerce_time(time)
-        self._seq += 1
-        event = Event(time, self._seq, callback, args, self)
-        heapq.heappush(self._heap, event)
+        self._seq = seq = self._seq + 1
+        event = Event(time, seq, callback, args, self)
+        heappush(self._heap, (time, seq, event))
         self._pending += 1
         return event
 
     def schedule(self, delay, callback, *args):
-        """Schedule ``callback(*args)`` after ``delay`` nanoseconds."""
+        """Schedule ``callback(*args)`` after ``delay`` nanoseconds.
+
+        Fractional delays are truncated.  A non-negative delay can never
+        land in the past, so this skips :meth:`schedule_at`'s coercion.
+        """
         if delay < 0:
             raise SimulationError("negative delay: {}".format(delay))
-        return self.schedule_at(self._now + int(delay), callback, *args)
+        time = self._now + int(delay)
+        self._seq = seq = self._seq + 1
+        event = Event(time, seq, callback, args, self)
+        heappush(self._heap, (time, seq, event))
+        self._pending += 1
+        return event
 
     def reschedule(self, event, time):
         """Re-arm a fired event at a new absolute time, reusing the object.
@@ -136,11 +146,11 @@ class Engine:
                 .format(event)
             )
         time = self._coerce_time(time)
-        self._seq += 1
+        self._seq = seq = self._seq + 1
         event.time = time
-        event.seq = self._seq
+        event.seq = seq
         event.fired = False
-        heapq.heappush(self._heap, event)
+        heappush(self._heap, (time, seq, event))
         self._pending += 1
         return event
 
@@ -151,21 +161,21 @@ class Engine:
     def peek(self):
         """Timestamp of the next pending event, or ``None`` if the queue is empty."""
         heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
         if not heap:
             return None
-        return heap[0].time
+        return heap[0][0]
 
     def step(self):
         """Fire the next event.  Returns ``False`` when the queue is empty."""
         heap = self._heap
         while heap:
-            event = heapq.heappop(heap)
+            time, _seq, event = heappop(heap)
             if event.cancelled:
                 continue
             self._pending -= 1
-            self._now = event.time
+            self._now = time
             event.fired = True
             event.callback(*event.args)
             return True
@@ -176,19 +186,27 @@ class Engine:
 
         When ``until`` is given the clock is advanced to exactly ``until`` at
         the end of the run, even if the last event fired earlier.
+
+        Each event fires through exactly one :meth:`step` call (bound once
+        per run, so a wrapper installed on the class before the run sees
+        every event); the head check is done inline instead of via
+        :meth:`peek`.
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
         self._running = True
         self._stopped = False
+        heap = self._heap
+        step = self.step
         try:
             while not self._stopped:
-                next_time = self.peek()
-                if next_time is None:
+                while heap and heap[0][2].cancelled:
+                    heappop(heap)
+                if not heap:
                     break
-                if until is not None and next_time > until:
+                if until is not None and heap[0][0] > until:
                     break
-                self.step()
+                step()
         finally:
             self._running = False
         if until is not None and self._now < until:
